@@ -37,7 +37,7 @@ def run_ablation() -> dict[str, dict[str, float]]:
             use_embedding_cache=cached,
         )
         results[label] = {
-            "seconds": report.total_s,
+            "seconds": report.summary.phase_seconds["total"],
             "accuracy": pipeline.score(dataset.x_test, dataset.y_test),
             "used_cache": float(report.used_embedding_cache),
         }

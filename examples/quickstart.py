@@ -43,7 +43,8 @@ def main() -> None:
     pca_accuracy = pipeline.score(dataset.x_test, dataset.y_test)
     print(
         f"PCA adapter + head : accuracy={pca_accuracy:.3f} "
-        f"(fit {report.total_s:.2f}s, embeddings cached: {report.used_embedding_cache})"
+        f"(fit {report.summary.phase_seconds['total']:.2f}s, "
+        f"embeddings cached: {report.used_embedding_cache})"
     )
 
     # --- no adapter: head-only on all 61 channels ---------------------
@@ -57,10 +58,12 @@ def main() -> None:
     base_accuracy = baseline.score(dataset.x_test, dataset.y_test)
     print(
         f"no adapter (head)  : accuracy={base_accuracy:.3f} "
-        f"(fit {base_report.total_s:.2f}s)"
+        f"(fit {base_report.summary.phase_seconds['total']:.2f}s)"
     )
 
-    ratio = base_report.embedding_s / max(report.embedding_s, 1e-9)
+    ratio = base_report.summary.phase_seconds["embedding"] / max(
+        report.summary.phase_seconds["embedding"], 1e-9
+    )
     print(
         f"\nThe encoder processed {dataset.num_channels} channels without the "
         f"adapter vs 5 with it — embedding pass was {ratio:.1f}x slower."

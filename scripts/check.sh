@@ -15,11 +15,11 @@
 #                   grid: the journal/lease layer must converge to the
 #                   reference results with zero re-executed done jobs
 #                   (deterministic, well under a minute)
-#   7. serve smoke  registry round-trip + a seeded in-process request
-#                   burst (bit-identity + saturation errors), then the
-#                   micro-batching bench in --smoke mode (whose
-#                   streaming section also gates the O(changed
-#                   windows) re-encode economy)
+#   7. serve smoke  registry round-trip, concurrent spawned publishers,
+#                   a seeded in-process request burst (bit-identity +
+#                   saturation errors), then the micro-batching bench
+#                   in --smoke mode (whose streaming section also
+#                   gates the O(changed windows) re-encode economy)
 #   8. stream smoke the streaming equivalence contract (sample-at-a-
 #                   time == offline bits, push-granularity invariance)
 #                   plus the measured-vs-predicted peak-memory bound
@@ -81,13 +81,15 @@ echo "== chaos smoke (kill/resume) =="
 python -m pytest "tests/exec/test_chaos.py::TestKillResumeConvergence::test_kill_anywhere_resume_converges[journal.committed-15]" \
                  "tests/exec/test_chaos.py::TestConcurrentShards::test_two_shards_share_a_grid_without_duplicate_execution" -q
 
-# Serving gate: the registry publish/load round-trip and a seeded
+# Serving gate: the registry publish/load round-trip, four spawned
+# processes publishing one name to one disk registry at once (distinct
+# versions, each loading back as its publisher wrote it), a seeded
 # in-process request burst (concurrent submitters, micro-batch width,
 # served-bits == offline-bits, queue-full / deadline typed errors),
-# then the micro-batching bench's machinery tier.  All in-process and
-# seeded — well under 15 s.
+# then the micro-batching bench's machinery tier.  Seeded, about 20 s.
 echo "== serve smoke (registry + request burst) =="
 python -m pytest tests/serve/test_registry.py::TestPublishLoad \
+                 tests/serve/test_registry.py::TestConcurrentPublish \
                  tests/serve/test_serving.py -q
 python benchmarks/bench_serve.py --smoke
 

@@ -501,7 +501,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
     report = pipeline.fit(dataset.x_train, dataset.y_train, strategy=strategy, config=config)
     accuracy = pipeline.score(dataset.x_test, dataset.y_test)
     print(f"adapter : {adapter.name} (cached embeddings: {report.used_embedding_cache})")
-    print(f"fit     : {report.total_s:.2f} s")
+    print(f"fit     : {report.summary.phase_seconds['total']:.2f} s")
     print(f"accuracy: {accuracy:.3f}")
     if args.save:
         path = _save_pipeline_dir(pipeline, args.save)

@@ -10,6 +10,23 @@ upgraded to a hard :class:`RegistryIntegrityError` here, because a
 server silently falling back to nothing (or to damaged weights) is
 worse than refusing to start.
 
+On a disk-backed store several processes may publish at once.  Each
+version number is claimed by creating ``<cache_dir>/registry/<name>/v<N>.claim``
+with ``O_CREAT | O_EXCL`` (the primitive :class:`repro.exec.LeaseBoard`
+uses), moving on to ``N + 1`` when the file already exists, so no two
+publishers ever get the same version.  Once the payload is written
+(atomically: temp file + ``os.replace``) the publisher creates the
+marker ``v<N>`` beside the claim, and only marked versions are listed,
+so a concurrent :meth:`load` never resolves to a half-written version.
+A publisher that dies between claim and marker leaves a gap in the
+version sequence, never a broken version; a marked version whose
+payload is later lost raises :class:`RegistryIntegrityError` instead of
+falling back to an older one.  A memory-only store cannot be shared
+across processes; it keeps its versions in a catalog artifact guarded
+by a thread lock.  On disk that catalog is only read, as the record of
+registries published before version claims existed: its versions stay
+listed and numbering continues above them.
+
 A small LRU keeps reconstructed *hot* pipelines in memory so a server
 restart or a ``client()`` call does not rebuild the object graph per
 request.
@@ -17,6 +34,7 @@ request.
 
 from __future__ import annotations
 
+import os
 import re
 import threading
 from collections import OrderedDict
@@ -32,6 +50,8 @@ from .errors import PipelineNotFoundError, RegistryIntegrityError
 __all__ = ["PipelineRecord", "PipelineRegistry"]
 
 _NAME_RE = re.compile(r"^[A-Za-z0-9][A-Za-z0-9._-]*$")
+#: ``v<N>`` marks a published version, ``v<N>.claim`` one claimed.
+_VERSION_FILE_RE = re.compile(r"^v([0-9]+)(\.claim)?$")
 
 
 @dataclass(frozen=True)
@@ -71,10 +91,35 @@ class PipelineRegistry:
         self.max_hot = max_hot
         self._hot: OrderedDict[tuple[str, int], AdapterPipeline] = OrderedDict()
         self._lock = threading.Lock()
+        #: Version-claim files live here; ``None`` for a memory-only store.
+        self._claims_root = store.cache_dir / "registry" if store.cache_dir else None
 
     # ------------------------------------------------------------------
     # Catalog (name -> published versions)
     # ------------------------------------------------------------------
+    def _version_files(self, name: str) -> list[tuple[int, bool]]:
+        """``(version, published)`` for every claim and marker of ``name``."""
+        directory = self._claims_root / name
+        if not directory.is_dir():
+            return []
+        found = []
+        for entry in directory.iterdir():
+            match = _VERSION_FILE_RE.match(entry.name)
+            if match:
+                found.append((int(match.group(1)), match.group(2) is None))
+        return found
+
+    def _claim_next(self, name: str) -> int:
+        """Atomically claim the lowest unclaimed version above the latest."""
+        directory = self._claims_root / name
+        directory.mkdir(parents=True, exist_ok=True)
+        taken = [version for version, _ in self._version_files(name)]
+        taken += self._catalog().get(name, [])
+        version = max(taken, default=0) + 1
+        while not _create_exclusive(directory / f"v{version}.claim"):
+            version += 1
+        return version
+
     def _catalog(self) -> dict[str, list[int]]:
         artifact = self.store.get(pipeline_catalog_key())
         if artifact is None:
@@ -86,12 +131,25 @@ class PipelineRegistry:
         self.store.put(pipeline_catalog_key(), meta={"names": catalog})
 
     def names(self) -> list[str]:
-        """All deployment names, sorted."""
-        return sorted(self._catalog())
+        """All deployment names with at least one published version, sorted."""
+        names = set(self._catalog())
+        root = self._claims_root
+        if root is not None and root.is_dir():
+            names.update(
+                entry.name
+                for entry in root.iterdir()
+                if any(published for _, published in self._version_files(entry.name))
+            )
+        return sorted(names)
 
     def versions(self, name: str) -> list[int]:
         """Published versions of ``name``, ascending (empty if none)."""
-        return sorted(self._catalog().get(name, []))
+        versions = set(self._catalog().get(name, []))
+        if self._claims_root is not None:
+            versions.update(
+                version for version, published in self._version_files(name) if published
+            )
+        return sorted(versions)
 
     # ------------------------------------------------------------------
     # Publish / resolve / load
@@ -100,7 +158,9 @@ class PipelineRegistry:
         """Write a fitted pipeline as the next version of ``name``.
 
         Versions are immutable: re-publishing a name never overwrites,
-        it allocates ``latest + 1``.  Returns the new record.
+        it allocates ``latest + 1``, also when other processes publish
+        to the same disk registry at the same time.  Returns the new
+        record.
         """
         if not _NAME_RE.match(name):
             raise ValueError(
@@ -109,9 +169,12 @@ class PipelineRegistry:
         arrays, manifest = pipeline_state(pipeline)
         digest = state_dict_digest(arrays)
         with self._lock:
-            catalog = self._catalog()
-            versions = catalog.get(name, [])
-            version = (max(versions) + 1) if versions else 1
+            memory_only = self._claims_root is None
+            if memory_only:
+                catalog = self._catalog()
+                version = max(catalog.get(name, []), default=0) + 1
+            else:
+                version = self._claim_next(name)
             key = pipeline_key(name, version)
             meta = {
                 "name": name,
@@ -120,8 +183,11 @@ class PipelineRegistry:
                 "manifest": manifest,
             }
             self.store.put(key, arrays=arrays, meta=meta)
-            catalog[name] = sorted([*versions, version])
-            self._write_catalog(catalog)
+            if memory_only:
+                catalog[name] = sorted([*catalog.get(name, []), version])
+                self._write_catalog(catalog)
+            else:
+                _create_exclusive(self._claims_root / name / f"v{version}")
         return PipelineRecord(
             name=name, version=version, digest=digest, key=key, manifest=manifest
         )
@@ -195,3 +261,13 @@ class PipelineRegistry:
 
     def __repr__(self) -> str:
         return f"PipelineRegistry(names={self.names()}, hot={len(self._hot)})"
+
+
+def _create_exclusive(path: Path) -> bool:
+    """Create an empty ``path``; ``False`` if it already exists."""
+    try:
+        fd = os.open(path, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o644)
+    except FileExistsError:
+        return False
+    os.close(fd)
+    return True

@@ -37,20 +37,17 @@ __all__ = ["AdapterPipeline", "FitReport"]
 class FitReport:
     """Timing breakdown and training history of one pipeline fit.
 
-    The phase timings mirror the quantities the paper's Figure 1
-    compares: fit-once adapters pay ``adapter_fit_s`` + one
-    ``embedding_s`` pass and then train only the head, while trainable
-    adapters pay the joint ``train_s`` with the encoder in the loop.
-    ``summary`` is the structured runtime view of the same fit: phase
-    seconds plus cache hit/miss counters from the artifact store.
+    ``summary.phase_seconds`` holds the phase timings the paper's
+    Figure 1 compares: fit-once adapters pay ``adapter_fit`` + one
+    ``embedding`` pass and then train only the head, while trainable
+    adapters pay the joint ``train`` with the encoder in the loop
+    (``total`` spans the whole fit; a phase the fit skipped is
+    absent).  ``summary.counters`` adds the cache hit/miss counters
+    from the artifact store.
     """
 
     strategy: FineTuneStrategy
     adapter_name: str
-    adapter_fit_s: float = 0.0
-    embedding_s: float = 0.0
-    train_s: float = 0.0
-    total_s: float = 0.0
     used_embedding_cache: bool = False
     train_result: TrainResult | None = None
     summary: RunSummary | None = None
@@ -216,10 +213,6 @@ class AdapterPipeline:
         if report.train_result is not None and report.train_result.op_profile:
             inst.attach_ops(report.train_result.op_profile)
         report.summary = inst.summary()
-        report.adapter_fit_s = inst.seconds("adapter_fit")
-        report.embedding_s = inst.seconds("embedding")
-        report.train_s = inst.seconds("train")
-        report.total_s = inst.seconds("total")
         self.fitted_ = True
         self.last_fit_report_ = report
         return report

@@ -2,10 +2,33 @@
 
 from __future__ import annotations
 
+import tempfile
 import zlib
 
 import numpy as np
 import pytest
+from hypothesis import settings
+from hypothesis.configuration import set_hypothesis_home_dir
+
+# One profile for every Hypothesis property in the suite: examples are
+# derived from each test's own source (``derandomize``), so two runs draw
+# the same inputs and a failure reproduces as is; no example database is
+# kept; and no per-example deadline, since wall-clock budgets flake on a
+# loaded host.  Tests set only ``max_examples``.
+settings.register_profile("repro", derandomize=True, database=None, deadline=None)
+settings.load_profile("repro")
+
+
+def pytest_configure(config) -> None:
+    """Give Hypothesis a per-run home directory, removed at exit.
+
+    Even without an example database Hypothesis memoises the constants
+    it scans from local modules (during collection); this keeps that
+    cache out of ``.hypothesis/`` in the working directory.
+    """
+    home = tempfile.TemporaryDirectory(prefix="repro-hypothesis-")
+    config.add_cleanup(home.cleanup)
+    set_hypothesis_home_dir(home.name)
 
 
 @pytest.fixture(autouse=True)

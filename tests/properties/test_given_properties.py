@@ -1,19 +1,56 @@
-"""``@given``-driven properties of adapters and the autodiff core.
+"""Hypothesis properties of adapters and the autodiff core.
 
 These complement the fixed-seed invariants in
-``repro.testing.invariants`` by sweeping randomly drawn shapes and
-values: each property runs over many seeded examples and shrinks any
-counterexample before reporting.
+``repro.testing.invariants`` by sweeping drawn shapes and values.
+Each domain strategy below draws its shape integers plus one integer
+seed and fills the values from ``np.random.default_rng(seed)``: the
+values stay Gaussian (the tolerances below are sized for that) while
+Hypothesis can still shrink both the geometry and the seed.
 """
 
 from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import array_shapes
 
 from repro.adapters import make_adapter
 from repro.nn import Tensor
-from repro.testing import arrays, broadcastable_pairs, given, integers, series_batches
+
+_SEEDS = st.integers(0, 2**32 - 1)
+
+
+@st.composite
+def series_batches(draw, min_d: int = 1) -> np.ndarray:
+    """Gaussian multivariate batches ``(N, T, D)``: the adapter input."""
+    shape = (draw(st.integers(2, 6)), draw(st.integers(4, 16)), draw(st.integers(min_d, 8)))
+    return np.random.default_rng(draw(_SEEDS)).normal(size=shape)
+
+
+@st.composite
+def broadcastable_pairs(draw) -> tuple[np.ndarray, np.ndarray]:
+    """Gaussian ``(a, b)`` whose shapes numpy-broadcast together.
+
+    ``b``'s shape drops leading axes of ``a``'s and squashes others
+    to one: exactly the cases ``repro.nn.tensor._unbroadcast`` inverts.
+    """
+    shape_a = draw(array_shapes(min_dims=1, max_dims=3, min_side=2, max_side=4))
+    tail = shape_a[draw(st.integers(0, len(shape_a))) :]
+    keep = draw(st.lists(st.booleans(), min_size=len(tail), max_size=len(tail)))
+    shape_b = tuple(side if kept else 1 for side, kept in zip(tail, keep))
+    rng = np.random.default_rng(draw(_SEEDS))
+    return rng.normal(size=shape_a), rng.normal(size=shape_b)
+
+
+@st.composite
+def arrays(draw, shape: tuple[int, ...] | None = None, scale: float = 1.0) -> np.ndarray:
+    """Gaussian arrays of ``shape`` (drawn, 1-3 dims of side 1-5, if None)."""
+    if shape is None:
+        shape = draw(array_shapes(min_dims=1, max_dims=3, min_side=1, max_side=5))
+    return scale * np.random.default_rng(draw(_SEEDS)).normal(size=shape)
+
 
 #: Adapters that are deterministic functions of their input statistics
 #: (no RNG beyond the seed) and reduce channels D -> D'.
@@ -23,7 +60,8 @@ _REDUCING_ADAPTERS = ("pca", "scaled_pca", "svd", "var", "rand_proj")
 class TestAdapterProperties:
     @pytest.mark.parametrize("name", _REDUCING_ADAPTERS)
     def test_output_shape_contract(self, name):
-        @given(max_examples=10, x=series_batches(min_d=2))
+        @settings(max_examples=10)
+        @given(x=series_batches(min_d=2))
         def property_shape(x):
             k = min(2, x.shape[-1])
             adapter = make_adapter(name, output_channels=k, seed=0)
@@ -36,7 +74,8 @@ class TestAdapterProperties:
     def test_permutation_equivariance(self, name):
         """Channel order must not matter for spectral adapters."""
 
-        @given(max_examples=10, x=series_batches(min_d=3), perm_seed=integers(0, 50))
+        @settings(max_examples=10)
+        @given(x=series_batches(min_d=3), perm_seed=st.integers(0, 50))
         def property_equivariant(x, perm_seed):
             perm = np.random.default_rng(perm_seed).permutation(x.shape[-1])
             adapter = make_adapter(name, output_channels=2, seed=0)
@@ -50,7 +89,8 @@ class TestAdapterProperties:
         property_equivariant()
 
     def test_transform_is_deterministic_after_fit(self):
-        @given(max_examples=10, x=series_batches(min_d=2))
+        @settings(max_examples=10)
+        @given(x=series_batches(min_d=2))
         def property_deterministic(x):
             adapter = make_adapter("pca", output_channels=2, seed=0).fit(x)
             np.testing.assert_array_equal(adapter.transform(x), adapter.transform(x))
@@ -60,7 +100,8 @@ class TestAdapterProperties:
 
 class TestTensorProperties:
     def test_add_matches_numpy_broadcasting(self):
-        @given(max_examples=20, pair=broadcastable_pairs())
+        @settings(max_examples=20)
+        @given(pair=broadcastable_pairs())
         def property_add(pair):
             a, b = pair
             out = Tensor(a) + Tensor(b)
@@ -72,7 +113,8 @@ class TestTensorProperties:
         """Backward must return gradients with each input's own shape,
         whatever numpy broadcast the forward pass performed."""
 
-        @given(max_examples=20, pair=broadcastable_pairs())
+        @settings(max_examples=20)
+        @given(pair=broadcastable_pairs())
         def property_grad_shape(pair):
             a, b = pair
             ta = Tensor(a, requires_grad=True)
@@ -84,7 +126,8 @@ class TestTensorProperties:
         property_grad_shape()
 
     def test_sum_then_mean_consistency(self):
-        @given(max_examples=20, x=arrays())
+        @settings(max_examples=20)
+        @given(x=arrays())
         def property_reduce(x):
             tensor = Tensor(x)
             np.testing.assert_allclose(
@@ -96,10 +139,20 @@ class TestTensorProperties:
     def test_softmax_rows_normalised(self):
         from repro.nn import functional as F
 
-        @given(max_examples=15, x=arrays(shape=(4, 6), scale=3.0))
+        @settings(max_examples=15)
+        @given(x=arrays(shape=(4, 6), scale=3.0))
         def property_softmax(x):
             out = F.softmax(Tensor(x), axis=-1)
             np.testing.assert_allclose(out.data.sum(axis=-1), 1.0, rtol=1e-8)
             assert (out.data >= 0).all()
 
         property_softmax()
+
+
+def test_active_profile_is_derandomized_and_database_free():
+    """``tests/conftest.py`` loads one profile for every property in the
+    suite: each run draws the same examples and writes no example
+    database."""
+    active = settings()
+    assert active.derandomize
+    assert active.database is None

@@ -18,12 +18,13 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.adapters import make_adapter
 from repro.models import load_pretrained
 from repro.stream import StreamingClassifier
 from repro.stream.windows import window_batch, window_starts
-from repro.testing import given, integers, sampled_from
 from repro.training import AdapterPipeline, TrainConfig
 
 WIDTH = 8  # fixed execution width shared by streaming and offline
@@ -72,13 +73,13 @@ def _stream_logits(pipeline, x, window, stride, compiled, chunk=1):
 
 class TestStreamOfflineParity:
     def test_sample_at_a_time_matches_offline_compiled(self, pipelines):
+        @settings(max_examples=5)
         @given(
-            max_examples=5,
-            channels=sampled_from((3, 6)),
-            window=integers(6, 14),
-            stride_raw=integers(1, 14),
-            extra=integers(0, 24),
-            data_seed=integers(0, 10_000),
+            channels=st.sampled_from((3, 6)),
+            window=st.integers(6, 14),
+            stride_raw=st.integers(1, 14),
+            extra=st.integers(0, 24),
+            data_seed=st.integers(0, 10_000),
         )
         def property_(channels, window, stride_raw, extra, data_seed):
             stride = 1 + stride_raw % window
@@ -92,13 +93,13 @@ class TestStreamOfflineParity:
         property_()
 
     def test_sample_at_a_time_matches_offline_eager(self, pipelines):
+        @settings(max_examples=3)
         @given(
-            max_examples=3,
-            channels=sampled_from((3, 6)),
-            window=integers(6, 12),
-            stride_raw=integers(1, 12),
-            extra=integers(0, 16),
-            data_seed=integers(0, 10_000),
+            channels=st.sampled_from((3, 6)),
+            window=st.integers(6, 12),
+            stride_raw=st.integers(1, 12),
+            extra=st.integers(0, 16),
+            data_seed=st.integers(0, 10_000),
         )
         def property_(channels, window, stride_raw, extra, data_seed):
             stride = 1 + stride_raw % window
@@ -119,13 +120,13 @@ class TestStreamOfflineParity:
 
 class TestChunkingInvariance:
     def test_push_granularity_is_invisible(self, pipelines):
+        @settings(max_examples=4)
         @given(
-            max_examples=4,
-            channels=sampled_from((3, 6)),
-            window=integers(6, 14),
-            stride_raw=integers(1, 14),
-            extra=integers(4, 24),
-            data_seed=integers(0, 10_000),
+            channels=st.sampled_from((3, 6)),
+            window=st.integers(6, 14),
+            stride_raw=st.integers(1, 14),
+            extra=st.integers(4, 24),
+            data_seed=st.integers(0, 10_000),
         )
         def property_(channels, window, stride_raw, extra, data_seed):
             stride = 1 + stride_raw % window

@@ -48,7 +48,7 @@ class TestFittedPipelineHandle:
 
     def test_report_property(self, fitted):
         assert fitted.report is not None
-        assert fitted.report.total_s >= 0
+        assert fitted.report.summary.phase_seconds["total"] >= 0
 
     def test_save_publishes_to_registry(self, fitted, tmp_path):
         from repro.serve import PipelineRegistry

@@ -32,14 +32,14 @@ class TestStrategies:
         pipe = make_pipeline(dataset, "pca")
         report = pipe.fit(dataset.x_train, dataset.y_train, config=quick_config())
         assert report.used_embedding_cache
-        assert report.embedding_s > 0
+        assert report.summary.phase_seconds["embedding"] > 0
         assert report.train_result is not None
 
     def test_lcomb_runs_joint_loop(self, dataset):
         pipe = make_pipeline(dataset, "lcomb")
         report = pipe.fit(dataset.x_train, dataset.y_train, config=quick_config(2))
         assert not report.used_embedding_cache
-        assert report.embedding_s == 0.0
+        assert "embedding" not in report.summary.phase_seconds
 
     def test_head_strategy_freezes_encoder(self, dataset):
         pipe = make_pipeline(dataset, "none")
@@ -118,7 +118,8 @@ class TestPrediction:
     def test_timing_report_fields(self, dataset):
         pipe = make_pipeline(dataset, "pca")
         report = pipe.fit(dataset.x_train, dataset.y_train, config=quick_config())
-        assert report.total_s >= report.adapter_fit_s + report.embedding_s
+        phases = report.summary.phase_seconds
+        assert phases["total"] >= phases["adapter_fit"] + phases["embedding"]
         assert report.adapter_name == "PCA"
         assert report.strategy is FineTuneStrategy.ADAPTER_HEAD
 
