@@ -9,8 +9,6 @@ wall-clock time — same accuracy, very different cost.
 
 from __future__ import annotations
 
-import numpy as np
-
 from repro.adapters import make_adapter
 from repro.data import load_dataset
 from repro.evaluation import render_table

@@ -8,8 +8,6 @@ channel-linearity the whole paper rests on).
 
 from __future__ import annotations
 
-import numpy as np
-
 from repro.adapters import make_adapter
 from repro.data import dataset_info, load_dataset
 from repro.evaluation import render_table

@@ -8,7 +8,6 @@ runnable models on the surrogate datasets.
 from __future__ import annotations
 
 from repro.experiments import table1
-from repro.resources import RunStatus
 
 from .conftest import record
 

@@ -10,7 +10,8 @@
 #                   scenario against ./goldens
 #   5. nn smoke     fused-op gradchecks, the replay-parity sweep
 #                   (eager vs compiled bit-identity for every
-#                   registered op), and the tiny dtype/replay bench
+#                   registered op, through its one forward kernel),
+#                   and the tiny dtype/replay bench
 #   6. chaos smoke  seeded SIGKILL-at-a-point + resume over a scripted
 #                   grid: the journal/lease layer must converge to the
 #                   reference results with zero re-executed done jobs
@@ -64,8 +65,9 @@ python -m repro.cli selfcheck --smoke
 # The numerics kernels back everything else, so they get an explicit
 # gate even when the pytest args above selected an unrelated subtree:
 # finite-difference gradchecks for the fused ops, the replay-parity
-# sweep (every registered op must replay bit-identically through the
-# compiled graph engine or be declared eager-only by name), then a tiny
+# sweep (every primitive op must register the one forward kernel that
+# eager and compiled replay both call, composites replay their eager
+# body, and eager-only ops are declared by name), then a tiny
 # float64-vs-float32 trainer-step + eager-vs-compiled inference bench
 # that must run end to end.
 echo "== nn fast-numerics smoke =="

@@ -1,9 +1,10 @@
 """Differentiable functional operations built on :class:`repro.nn.Tensor`.
 
-These are composite operations (activations, normalisations, losses)
-expressed in terms of the primitive tensor ops, plus a few fused
-implementations with hand-written backward passes where the composite
-form would be numerically fragile (softmax, cross-entropy).
+Activations and layer normalisation are primitive ops: each computes
+its output with a module-level numpy forward kernel (shared with
+compiled replay, see :mod:`repro.nn.graph`) and has a hand-written
+backward pass.  The losses are composites expressed in terms of other
+registered ops.
 """
 
 from __future__ import annotations
@@ -31,11 +32,15 @@ __all__ = [
 _SQRT_2_OVER_PI = math.sqrt(2.0 / math.pi)
 
 
-@registered_op("relu")
+def _relu(x, *, out=None):
+    return np.maximum(x, 0.0, out=out)
+
+
+@registered_op("relu", kernel=_relu)
 def relu(x: Tensor) -> Tensor:
     """Rectified linear unit."""
     x = as_tensor(x)
-    out_data = np.maximum(x.data, 0.0)
+    out_data = _relu(x.data)
 
     def backward(grad: np.ndarray) -> None:
         x._accumulate(grad * (x.data > 0))
@@ -43,14 +48,30 @@ def relu(x: Tensor) -> Tensor:
     return Tensor._make(out_data, (x,), backward)
 
 
-@registered_op("gelu")
+def _gelu_tanh(x, *, out=None):
+    """``tanh(sqrt(2/pi) * (x + 0.044715 * x**3))``, staged in one buffer."""
+    t = np.power(x, 3, out=np.empty_like(x) if out is None else out)
+    np.multiply(0.044715, t, out=t)
+    np.add(x, t, out=t)
+    np.multiply(_SQRT_2_OVER_PI, t, out=t)
+    return np.tanh(t, out=t)
+
+
+def _gelu(x, *, out=None, tanh_inner=None):
+    # Eager passes the ``tanh_inner`` it keeps for backward; replay
+    # stages it through ``out`` and finishes in place.
+    if tanh_inner is None:
+        tanh_inner = _gelu_tanh(x, out=out)
+    return np.multiply(0.5 * x, np.add(1.0, tanh_inner, out=out), out=out)
+
+
+@registered_op("gelu", kernel=_gelu)
 def gelu(x: Tensor) -> Tensor:
     """Gaussian error linear unit (tanh approximation, as in BERT/GPT)."""
     x = as_tensor(x)
     data = x.data
-    inner = _SQRT_2_OVER_PI * (data + 0.044715 * data**3)
-    tanh_inner = np.tanh(inner)
-    out_data = 0.5 * data * (1.0 + tanh_inner)
+    tanh_inner = _gelu_tanh(data)
+    out_data = _gelu(data, tanh_inner=tanh_inner)
 
     def backward(grad: np.ndarray) -> None:
         sech2 = 1.0 - tanh_inner**2
@@ -61,15 +82,19 @@ def gelu(x: Tensor) -> Tensor:
     return Tensor._make(out_data, (x,), backward)
 
 
-@registered_op("sigmoid")
+def _sigmoid(x, *, out=None):
+    return np.where(
+        x >= 0,
+        1.0 / (1.0 + np.exp(-np.abs(x))),
+        np.exp(-np.abs(x)) / (1.0 + np.exp(-np.abs(x))),
+    )
+
+
+@registered_op("sigmoid", kernel=_sigmoid)
 def sigmoid(x: Tensor) -> Tensor:
     """Logistic sigmoid with a numerically stable forward pass."""
     x = as_tensor(x)
-    out_data = np.where(
-        x.data >= 0,
-        1.0 / (1.0 + np.exp(-np.abs(x.data))),
-        np.exp(-np.abs(x.data)) / (1.0 + np.exp(-np.abs(x.data))),
-    )
+    out_data = _sigmoid(x.data)
 
     def backward(grad: np.ndarray) -> None:
         x._accumulate(grad * out_data * (1.0 - out_data))
@@ -77,13 +102,18 @@ def sigmoid(x: Tensor) -> Tensor:
     return Tensor._make(out_data, (x,), backward)
 
 
-@registered_op("softmax")
+def _softmax(x, axis=-1, *, out=None):
+    # Every stage writes one buffer: ``out`` at replay, a fresh array in eager.
+    shifted = np.subtract(x, x.max(axis=axis, keepdims=True), out=out)
+    exp = np.exp(shifted, out=shifted)
+    return np.divide(exp, exp.sum(axis=axis, keepdims=True), out=exp)
+
+
+@registered_op("softmax", kernel=_softmax)
 def softmax(x: Tensor, axis: int = -1) -> Tensor:
     """Softmax along ``axis`` with a fused, stable backward pass."""
     x = as_tensor(x)
-    shifted = x.data - x.data.max(axis=axis, keepdims=True)
-    exp = np.exp(shifted)
-    out_data = exp / exp.sum(axis=axis, keepdims=True)
+    out_data = _softmax(x.data, axis)
 
     def backward(grad: np.ndarray) -> None:
         dot = (grad * out_data).sum(axis=axis, keepdims=True)
@@ -92,13 +122,17 @@ def softmax(x: Tensor, axis: int = -1) -> Tensor:
     return Tensor._make(out_data, (x,), backward)
 
 
-@registered_op("log_softmax")
+def _log_softmax(x, axis=-1, *, out=None):
+    shifted = x - x.max(axis=axis, keepdims=True)
+    log_norm = np.log(np.exp(shifted).sum(axis=axis, keepdims=True))
+    return np.subtract(shifted, log_norm, out=out)
+
+
+@registered_op("log_softmax", kernel=_log_softmax)
 def log_softmax(x: Tensor, axis: int = -1) -> Tensor:
     """Log-softmax along ``axis`` (stable log-sum-exp form)."""
     x = as_tensor(x)
-    shifted = x.data - x.data.max(axis=axis, keepdims=True)
-    log_norm = np.log(np.exp(shifted).sum(axis=axis, keepdims=True))
-    out_data = shifted - log_norm
+    out_data = _log_softmax(x.data, axis)
 
     def backward(grad: np.ndarray) -> None:
         softmax_data = np.exp(out_data)
@@ -130,7 +164,24 @@ def dropout(x: Tensor, p: float, training: bool, rng: np.random.Generator) -> Te
     return Tensor._make(out_data, (x,), backward)
 
 
-@registered_op("layer_norm")
+def _layer_norm_rows(x, eps, *, out=None):
+    """``(x_hat, inv_std)`` of each trailing-axis row; x_hat staged in ``out``."""
+    centered = np.subtract(x, x.mean(axis=-1, keepdims=True), out=out)
+    variance = np.mean(centered * centered, axis=-1, keepdims=True)
+    inv_std = 1.0 / np.sqrt(variance + eps)
+    return np.multiply(centered, inv_std, out=centered), inv_std
+
+
+def _layer_norm(x, weight, bias, eps=1e-5, *, out=None, x_hat=None):
+    # Eager passes the ``x_hat`` it keeps for backward; replay stages
+    # it through ``out`` and applies the affine transform in place.
+    if x_hat is None:
+        x_hat, _ = _layer_norm_rows(x, eps, out=out)
+    y = np.multiply(x_hat, weight, out=out)
+    return np.add(y, bias, out=y)
+
+
+@registered_op("layer_norm", kernel=_layer_norm)
 def layer_norm(x: Tensor, weight: Tensor, bias: Tensor, eps: float = 1e-5) -> Tensor:
     """Layer normalisation over the trailing dimension (fused).
 
@@ -143,13 +194,8 @@ def layer_norm(x: Tensor, weight: Tensor, bias: Tensor, eps: float = 1e-5) -> Te
     full-activation temporaries per call in each direction.
     """
     x, weight, bias = as_tensor(x), as_tensor(weight), as_tensor(bias)
-    data = x.data
-    mean = data.mean(axis=-1, keepdims=True)
-    centered = data - mean
-    variance = np.mean(centered * centered, axis=-1, keepdims=True)
-    inv_std = 1.0 / np.sqrt(variance + eps)
-    x_hat = centered * inv_std
-    out_data = x_hat * weight.data + bias.data
+    x_hat, inv_std = _layer_norm_rows(x.data, eps)
+    out_data = _layer_norm(x.data, weight.data, bias.data, eps, x_hat=x_hat)
 
     def backward(grad: np.ndarray) -> None:
         if bias.requires_grad:

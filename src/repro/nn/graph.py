@@ -11,9 +11,9 @@ all three costs for that workload:
   ``@registered_op`` wrappers of :mod:`repro.nn.tensor` and runs the
   target function once.  Each *outermost* registered op becomes one
   :class:`TraceStep` (op name from ``OP_REGISTRY``, argument
-  references, output shape/dtype); composites (``sub``, ``mean``,
-  ``cross_entropy``, ...) record as single steps, exactly mirroring
-  the replay-kernel granularity.  Tensor arguments are classified:
+  references, output shape/dtype); composites (``var``,
+  ``cross_entropy``, ...) record as single steps.  Tensor arguments
+  are classified:
   graph inputs and op outputs become *slots*, tensors that existed
   before the capture (weights, biases, positional embeddings) are
   recorded *by reference* — replay reads their current ``.data``, so
@@ -27,31 +27,32 @@ all three costs for that workload:
   lifetimes do not overlap.  View-producing steps (``reshape``,
   ``transpose``, ``getitem`` on basic indices) share their input's
   storage, so a buffer is never recycled while a view of it is live.
-* **Replay** — :meth:`CompiledGraph.run` executes the step list
-  through :data:`REPLAY_KERNELS`, a dispatch table of raw-numpy
-  kernels that mirror the eager forward expressions *bit for bit*,
-  writing into arena buffers where the kernel supports ``out=``.  A
+* **Replay** — :meth:`CompiledGraph.run` calls each primitive op's
+  forward kernel (``OpInfo.kernel``, the same numpy function the eager
+  op calls) with ``out=`` pointing into the arena, so replay is
+  bit-identical to eager by construction.  A composite replays by
+  running its eager body under ``no_grad`` on the resolved arrays.  A
   guard raises :class:`ReplayGuard` on any input/parameter
   shape-or-dtype mismatch so callers can fall back to eager, and an
   active :mod:`repro.nn.profiler` receives per-op replay timings and
   per-run bytes-saved stats.
 
-Every name in ``OP_REGISTRY`` must either have a replay kernel or be
-listed in :data:`EAGER_ONLY_OPS` with a reason; a new op added without
-either fails :func:`assert_replay_coverage` **by name**, mirroring the
-gradcheck sweep's ``assert_full_coverage``.
+Every primitive op (one whose body calls ``Tensor._make``) must
+register a forward kernel or be listed in :data:`EAGER_ONLY_OPS` with
+a reason; one without either fails :func:`assert_replay_coverage`
+**by name**, mirroring the gradcheck sweep's ``assert_full_coverage``.
 
 Typical use is through :class:`GraphCache` (one per model, keyed by
 input signature), which validates each freshly compiled graph against
 an eager pass on perturbed inputs before trusting it — a capture that
-baked a data-dependent constant or hit a non-parity kernel quietly
-degrades to eager instead of corrupting results.
+baked a data-dependent constant, or passed a numpy scalar where eager
+coerces it (numpy promotes it differently at replay), quietly degrades
+to eager instead of corrupting results.
 """
 
 from __future__ import annotations
 
 import contextlib
-import math
 import os
 import time
 from dataclasses import dataclass, field
@@ -73,10 +74,8 @@ __all__ = [
     "capture",
     "compile_trace",
     "capture_compiled",
-    "REPLAY_KERNELS",
     "EAGER_ONLY_OPS",
     "missing_replay_kernels",
-    "stale_replay_kernels",
     "assert_replay_coverage",
     "compile_enabled",
     "set_compile_enabled",
@@ -95,9 +94,12 @@ class ReplayGuard(RuntimeError):
 # Argument-reference kinds inside a TraceStep.
 _SLOT = "slot"  # output of an earlier step, or a graph input
 _PARAM = "param"  # pre-existing tensor, read by reference at replay
-_VALUE = "value"  # mid-capture leaf tensor / ndarray, baked by value
+_VALUE = "value"  # mid-capture leaf tensor, baked by value
+_ARRAY = "array"  # raw ndarray argument, baked by value
 _CONST = "const"  # plain python constant (scalars, axes, dtypes, slices)
 _SEQ = "seq"  # list/tuple containing tensor references (concatenate, stack)
+#: kinds that stand for a Tensor argument of the eager op
+_TENSOR_REFS = (_SLOT, _PARAM, _VALUE)
 
 #: ``TraceStep.alias_of`` sentinel: the output is a view of storage the
 #: graph does not manage (a parameter or a baked constant), e.g. the
@@ -251,11 +253,6 @@ class Tracer:
             return  # identity op (eval dropout, same-dtype astype): pure alias
         if name in EAGER_ONLY_OPS:
             raise TraceError(f"op {name!r} is not replayable: {EAGER_ONLY_OPS[name]}")
-        if name not in REPLAY_KERNELS:
-            raise TraceError(
-                f"op {name!r} has no replay kernel; add one to "
-                "repro.nn.graph.REPLAY_KERNELS or list it in EAGER_ONLY_OPS"
-            )
         arg_refs = tuple(self._ref_of(a) for a in args)
         kwarg_refs = {k: self._ref_of(v) for k, v in kwargs.items()}
         alias_of = self._find_alias(out, args, kwargs)
@@ -329,7 +326,7 @@ class Tracer:
                 return (_SEQ, tuple(self._ref_of(item) for item in value))
             return (_CONST, value)
         if isinstance(value, np.ndarray):
-            return (_VALUE, value.copy(order="K"))
+            return (_ARRAY, value.copy(order="K"))
         return (_CONST, value)
 
 
@@ -387,16 +384,8 @@ def capture(fn: Callable[..., Tensor], inputs: Sequence[np.ndarray]) -> Trace:
 
 
 # ----------------------------------------------------------------------
-# Replay kernels — each mirrors the eager forward expression bit for bit
+# Replay dispatch
 # ----------------------------------------------------------------------
-_SQRT_2_OVER_PI = math.sqrt(2.0 / math.pi)
-
-#: op name -> replay kernel.  Signatures mirror the eager op (so the
-#: recorded positional/keyword arguments apply unchanged) with Tensor
-#: operands replaced by ndarrays, plus a keyword-only ``out=`` that a
-#: kernel may use to write into its arena buffer (or ignore).
-REPLAY_KERNELS: dict[str, Callable] = {}
-
 #: Registered ops that can never be replayed, with the reason; the
 #: tracer refuses a capture that records one (mirroring the fail-by-name
 #: contract of the gradcheck sweep).
@@ -405,349 +394,47 @@ EAGER_ONLY_OPS: dict[str, str] = {
 }
 
 
-def replay_kernel(name: str):
-    """Register the replay kernel for op ``name``."""
-
-    def decorate(fn):
-        if name in REPLAY_KERNELS:
-            raise ValueError(f"replay kernel {name!r} registered twice")
-        REPLAY_KERNELS[name] = fn
-        return fn
-
-    return decorate
-
-
-def _coerce_operand(a: np.ndarray, other) -> np.ndarray:
-    """Replicate ``Tensor._operand``'s dtype policy on raw arrays."""
-    if isinstance(other, np.ndarray):
-        return other
-    if np.isscalar(other):
-        return np.asarray(other, dtype=a.dtype)
-    return Tensor(other).data
-
-
-def _as_array(value) -> np.ndarray:
-    """Replicate ``as_tensor``'s creation policy on raw values."""
-    return value if isinstance(value, np.ndarray) else Tensor(value).data
-
-
-@replay_kernel("add")
-def _k_add(a, b, *, out=None):
-    b = _coerce_operand(a, b)
-    return np.add(a, b, out=out) if out is not None else a + b
-
-
-@replay_kernel("neg")
-def _k_neg(a, *, out=None):
-    return np.negative(a, out=out) if out is not None else -a
-
-
-@replay_kernel("sub")
-def _k_sub(a, b, *, out=None):
-    # Eager sub is a + (-b); IEEE-754 subtraction is identical bit for bit.
-    b = _coerce_operand(a, b)
-    return np.subtract(a, b, out=out) if out is not None else a - b
-
-
-@replay_kernel("mul")
-def _k_mul(a, b, *, out=None):
-    b = _coerce_operand(a, b)
-    return np.multiply(a, b, out=out) if out is not None else a * b
-
-
-@replay_kernel("truediv")
-def _k_truediv(a, b, *, out=None):
-    b = _coerce_operand(a, b)
-    return np.divide(a, b, out=out) if out is not None else a / b
-
-
-@replay_kernel("pow")
-def _k_pow(a, exponent, *, out=None):
-    return np.power(a, exponent, out=out) if out is not None else a**exponent
-
-
-@replay_kernel("matmul")
-def _k_matmul(a, b, *, out=None):
-    b = _as_array(b)
-    if out is not None:
-        try:
-            return np.matmul(a, b, out=out)
-        except (TypeError, ValueError):
-            pass
-    return a @ b
-
-
-@replay_kernel("reshape")
-def _k_reshape(a, *shape, out=None):
-    if len(shape) == 1 and isinstance(shape[0], (tuple, list)):
-        shape = tuple(shape[0])
-    return a.reshape(shape)
-
-
-@replay_kernel("transpose")
-def _k_transpose(a, *axes, out=None):
-    if not axes:
-        axes = tuple(reversed(range(a.ndim)))
-    elif len(axes) == 1 and isinstance(axes[0], (tuple, list)):
-        axes = tuple(axes[0])
-    return a.transpose(axes)
-
-
-@replay_kernel("astype")
-def _k_astype(a, dtype, *, out=None):
-    # Identity casts never record a step, so this is always a real copy.
-    if out is not None:
-        out[...] = a
-        return out
-    return a.astype(np.dtype(dtype))
-
-
-@replay_kernel("swapaxes")
-def _k_swapaxes(a, axis1, axis2, *, out=None):
-    return np.swapaxes(a, axis1, axis2)
-
-
-@replay_kernel("getitem")
-def _k_getitem(a, index, *, out=None):
-    if isinstance(index, np.ndarray) and index.dtype.kind == "f":
-        # The eager op coerces Tensor indices via .astype(np.int64).
-        index = index.astype(np.int64)
-    return np.asarray(a[index])
-
-
-@replay_kernel("sum")
-def _k_sum(a, axis=None, keepdims=False, *, out=None):
-    if out is not None:
-        return np.sum(a, axis=axis, keepdims=keepdims, out=out)
-    return np.asarray(a.sum(axis=axis, keepdims=keepdims))
-
-
-def _reduce_count(a: np.ndarray, axis) -> int:
-    if axis is None:
-        return a.size
-    axes = (axis,) if isinstance(axis, int) else tuple(axis)
-    return int(np.prod([a.shape[ax] for ax in axes]))
-
-
-@replay_kernel("mean")
-def _k_mean(a, axis=None, keepdims=False, *, out=None):
-    # Eager mean is sum(...) / count with the count coerced to the
-    # sum's dtype (Tensor._operand weak-scalar rule).
-    s = np.asarray(a.sum(axis=axis, keepdims=keepdims))
-    count = np.asarray(_reduce_count(a, axis), dtype=s.dtype)
-    return np.divide(s, count, out=out) if out is not None else s / count
-
-
-@replay_kernel("var")
-def _k_var(a, axis=None, keepdims=False, *, out=None):
-    centered = a - _k_mean(a, axis=axis, keepdims=True)
-    return _k_mean(centered * centered, axis=axis, keepdims=keepdims, out=out)
-
-
-@replay_kernel("max")
-def _k_max(a, axis=None, keepdims=False, *, out=None):
-    return np.asarray(a.max(axis=axis, keepdims=keepdims))
-
-
-@replay_kernel("exp")
-def _k_exp(a, *, out=None):
-    return np.exp(a, out=out) if out is not None else np.exp(a)
-
-
-@replay_kernel("log")
-def _k_log(a, *, out=None):
-    return np.log(a, out=out) if out is not None else np.log(a)
-
-
-@replay_kernel("sqrt")
-def _k_sqrt(a, *, out=None):
-    return np.sqrt(a, out=out) if out is not None else np.sqrt(a)
-
-
-@replay_kernel("tanh")
-def _k_tanh(a, *, out=None):
-    return np.tanh(a, out=out) if out is not None else np.tanh(a)
-
-
-@replay_kernel("abs")
-def _k_abs(a, *, out=None):
-    return np.abs(a, out=out) if out is not None else np.abs(a)
-
-
-@replay_kernel("clip")
-def _k_clip(a, low, high, *, out=None):
-    if out is not None:
-        return np.clip(a, low, high, out=out)
-    return np.clip(a, low, high)
-
-
-@replay_kernel("concatenate")
-def _k_concatenate(tensors, axis=0, *, out=None):
-    arrays = [_as_array(t) for t in tensors]
-    if out is not None:
-        return np.concatenate(arrays, axis=axis, out=out)
-    return np.concatenate(arrays, axis=axis)
-
-
-@replay_kernel("stack")
-def _k_stack(tensors, axis=0, *, out=None):
-    arrays = [_as_array(t) for t in tensors]
-    if out is not None:
-        return np.stack(arrays, axis=axis, out=out)
-    return np.stack(arrays, axis=axis)
-
-
-@replay_kernel("where")
-def _k_where(condition, a, b, *, out=None):
-    condition = np.asarray(condition)
-    return np.where(condition, _as_array(a), _as_array(b))
-
-
-@replay_kernel("relu")
-def _k_relu(x, *, out=None):
-    return np.maximum(x, 0.0, out=out) if out is not None else np.maximum(x, 0.0)
-
-
-@replay_kernel("gelu")
-def _k_gelu(x, *, out=None):
-    if out is None:
-        inner = _SQRT_2_OVER_PI * (x + 0.044715 * x**3)
-        return (0.5 * x) * (1.0 + np.tanh(inner))
-    # Same operation tree, but staged through ``out`` (which never
-    # aliases ``x``) so the only full-size temporary is ``0.5 * x``.
-    # Each ufunc matches the eager expression operand-for-operand, so
-    # the rounding is bit-identical.
-    np.power(x, 3, out=out)
-    np.multiply(0.044715, out, out=out)
-    np.add(x, out, out=out)
-    np.multiply(_SQRT_2_OVER_PI, out, out=out)
-    np.tanh(out, out=out)
-    np.add(1.0, out, out=out)
-    return np.multiply(0.5 * x, out, out=out)
-
-
-@replay_kernel("sigmoid")
-def _k_sigmoid(x, *, out=None):
-    return np.where(
-        x >= 0,
-        1.0 / (1.0 + np.exp(-np.abs(x))),
-        np.exp(-np.abs(x)) / (1.0 + np.exp(-np.abs(x))),
-    )
-
-
-@replay_kernel("softmax")
-def _k_softmax(x, axis=-1, *, out=None):
-    if out is None:
-        shifted = x - x.max(axis=axis, keepdims=True)
-        exp = np.exp(shifted)
-        return exp / exp.sum(axis=axis, keepdims=True)
-    # Staged through ``out``: no full-size temporaries.  ``out`` carries
-    # the eager layout (see _out_view), so the ``sum`` reduction walks
-    # memory in the same order eager did — bit-identical rounding.
-    np.subtract(x, x.max(axis=axis, keepdims=True), out=out)
-    np.exp(out, out=out)
-    norm = out.sum(axis=axis, keepdims=True)
-    return np.divide(out, norm, out=out)
-
-
-@replay_kernel("log_softmax")
-def _k_log_softmax(x, axis=-1, *, out=None):
-    shifted = x - x.max(axis=axis, keepdims=True)
-    log_norm = np.log(np.exp(shifted).sum(axis=axis, keepdims=True))
-    if out is not None:
-        return np.subtract(shifted, log_norm, out=out)
-    return shifted - log_norm
-
-
-@replay_kernel("layer_norm")
-def _k_layer_norm(x, weight, bias, eps=1e-5, *, out=None):
-    mean = x.mean(axis=-1, keepdims=True)
-    if out is None:
-        centered = x - mean
-        variance = np.mean(centered * centered, axis=-1, keepdims=True)
-        inv_std = 1.0 / np.sqrt(variance + eps)
-        return (centered * inv_std) * weight + bias
-    # ``out`` holds ``centered`` while the row statistics are reduced,
-    # then is normalized and affine-transformed in place.  The only
-    # full-size temporary is ``centered * centered``.
-    np.subtract(x, mean, out=out)
-    variance = np.mean(out * out, axis=-1, keepdims=True)
-    inv_std = 1.0 / np.sqrt(variance + eps)
-    np.multiply(out, inv_std, out=out)
-    np.multiply(out, weight, out=out)
-    np.add(out, bias, out=out)
-    return out
-
-
-@replay_kernel("cross_entropy")
-def _k_cross_entropy(logits, targets, *, out=None):
-    targets = np.asarray(targets).astype(np.int64)
-    n = logits.shape[0]
-    shifted = logits - logits.max(axis=-1, keepdims=True)
-    log_norm = np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
-    log_probs = shifted - log_norm
-    picked = log_probs[np.arange(n), targets]
-    return np.negative(_k_mean(picked))
-
-
-@replay_kernel("mse_loss")
-def _k_mse_loss(prediction, target, *, out=None):
-    target = np.asarray(target, dtype=prediction.dtype)
-    diff = prediction - target
-    return _k_mean(diff * diff)
-
-
-@replay_kernel("masked_mse_loss")
-def _k_masked_mse_loss(prediction, target, mask, *, out=None):
-    target = np.asarray(np.asarray(target), dtype=prediction.dtype)
-    mask = np.asarray(mask, dtype=prediction.dtype)
-    total = float(mask.sum())
-    diff = (prediction - target) * mask
-    s = np.asarray((diff * diff).sum())
-    return s / np.asarray(total, dtype=s.dtype)
-
-
-@replay_kernel("info_nce_loss")
-def _k_info_nce_loss(queries, keys, temperature=0.07, *, out=None):
-    q_scale = ((queries * queries).sum(axis=-1, keepdims=True) + 1e-12) ** -0.5
-    k_scale = ((keys * keys).sum(axis=-1, keepdims=True) + 1e-12) ** -0.5
-    q_norm = queries * q_scale
-    k_norm = keys * k_scale
-    logits = (q_norm @ k_norm.transpose()) * np.asarray(
-        1.0 / temperature, dtype=q_norm.dtype
-    )
-    targets = np.arange(queries.shape[0])
-    return _k_cross_entropy(logits, targets)
+def _step_kernel(step: TraceStep) -> Callable:
+    """What replays ``step``: its op's forward kernel (``OpInfo.kernel``).
+
+    A composite has no kernel of its own; it replays by running its
+    eager body under ``no_grad`` on the resolved arrays, re-wrapping
+    the arguments that were tensors at capture (raw ndarrays such as
+    integer targets and masks pass through unwrapped).
+    """
+    info = OP_REGISTRY[step.op]
+    if info.kernel is not None:
+        return info.kernel
+    body = info.fn
+    wrap = [ref[0] in _TENSOR_REFS for ref in step.args]
+    wrap_kw = [key for key, ref in step.kwargs.items() if ref[0] in _TENSOR_REFS]
+
+    def eager_body(*args, out=None, **kwargs):
+        args = [Tensor(a) if w else a for a, w in zip(args, wrap)]
+        for key in wrap_kw:
+            kwargs[key] = Tensor(kwargs[key])
+        with no_grad():
+            return body(*args, **kwargs).data
+
+    return eager_body
 
 
 def missing_replay_kernels() -> list[str]:
-    """Registered ops with neither a replay kernel nor an eager-only entry."""
+    """Primitive ops (bodies calling ``Tensor._make``) without a forward kernel."""
     return sorted(
         name
-        for name in OP_REGISTRY
-        if name not in REPLAY_KERNELS and name not in EAGER_ONLY_OPS
-    )
-
-
-def stale_replay_kernels() -> list[str]:
-    """Replay kernels (or eager-only entries) naming no registered op."""
-    known = set(OP_REGISTRY)
-    return sorted(
-        name for name in (set(REPLAY_KERNELS) | set(EAGER_ONLY_OPS)) if name not in known
+        for name, info in OP_REGISTRY.items()
+        if info.kernel is None
+        and name not in EAGER_ONLY_OPS
+        and _tensor._calls_make(info.fn)
     )
 
 
 def assert_replay_coverage() -> None:
-    """Raise naming every op without replay dispatch (or stale kernel)."""
-    problems = []
+    """Raise naming every primitive op without a forward kernel."""
     missing = missing_replay_kernels()
     if missing:
-        problems.append(f"ops without a replay kernel: {missing}")
-    stale = stale_replay_kernels()
-    if stale:
-        problems.append(f"replay kernels for unknown ops: {stale}")
-    if problems:
-        raise AssertionError("; ".join(problems))
+        raise AssertionError(f"ops without a forward kernel: {missing}")
 
 
 # ----------------------------------------------------------------------
@@ -831,7 +518,7 @@ class CompiledGraph:
         )
         self.dead_steps = len(trace.steps) - len(live_steps)
         self.replays = 0
-        self._kernels = [REPLAY_KERNELS[s.op] for s in live_steps]
+        self._kernels = [_step_kernel(s) for s in live_steps]
         self._blocks: dict[int, np.ndarray] = {}
         self._views: dict[int, np.ndarray] = {}
         self._slots: list = [None] * trace.num_slots
@@ -964,7 +651,7 @@ class CompiledGraph:
         must read the *current* ``.data`` of each captured tensor.
         """
         plan = []
-        static = (_VALUE, _CONST)
+        static = (_VALUE, _ARRAY, _CONST)
         for step, kernel in zip(self.steps, self._kernels):
             template: list = []
             arg_fills: list[tuple[int, tuple]] = []
@@ -994,7 +681,7 @@ class CompiledGraph:
             return params[ref[1]].data
         if kind == _SEQ:
             return [CompiledGraph._resolve(item, slots, params) for item in ref[1]]
-        return ref[1]  # _VALUE and _CONST both resolve to the payload
+        return ref[1]  # _VALUE, _ARRAY and _CONST resolve to the payload
 
     # -- introspection -------------------------------------------------
     def stats(self) -> dict:

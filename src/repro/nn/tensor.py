@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import contextlib
 import functools
+import inspect
 import time
 from typing import Callable, Iterable, Sequence
 
@@ -62,20 +63,35 @@ def _set_tracer(tracer):
 class OpInfo:
     """Metadata for one registered tensor operation.
 
-    The registry exists for *verification*, not dispatch: the
+    The registry drives verification and compiled replay.  The
     property-based harness (:mod:`repro.testing.gradcheck`) enumerates
     it and requires a passing finite-difference gradient check for
     every differentiable op, so a new op cannot ship silently
-    unchecked.
+    unchecked.  ``kernel`` is a primitive op's numpy forward kernel:
+    the eager op calls it with ``out=None`` and
+    :meth:`repro.nn.graph.CompiledGraph.run` calls it with an arena
+    buffer, so both paths run the same code.  Composites (ops built
+    from other ops) have no kernel; replay runs their eager body
+    ``fn``.
     """
 
-    __slots__ = ("name", "qualname", "module", "differentiable")
+    __slots__ = ("name", "qualname", "module", "differentiable", "kernel", "fn")
 
-    def __init__(self, name: str, qualname: str, module: str, differentiable: bool) -> None:
+    def __init__(
+        self,
+        name: str,
+        qualname: str,
+        module: str,
+        differentiable: bool,
+        kernel: Callable | None = None,
+        fn: Callable | None = None,
+    ) -> None:
         self.name = name
         self.qualname = qualname
         self.module = module
         self.differentiable = differentiable
+        self.kernel = kernel
+        self.fn = fn
 
     def __repr__(self) -> str:
         flag = "" if self.differentiable else ", differentiable=False"
@@ -88,11 +104,12 @@ class OpInfo:
 OP_REGISTRY: dict[str, OpInfo] = {}
 
 
-def registered_op(name: str, differentiable: bool = True):
+def registered_op(name: str, differentiable: bool = True, kernel: Callable | None = None):
     """Decorator registering a graph-node-creating op under ``name``.
 
     Every function or method that calls :meth:`Tensor._make` must be
-    decorated (the harness cross-checks the source to enforce this);
+    decorated (the harness cross-checks the source to enforce this)
+    and must compute its output with ``kernel``, its forward kernel;
     ``differentiable=False`` marks ops recorded for completeness that
     do not propagate gradients.
     """
@@ -105,13 +122,15 @@ def registered_op(name: str, differentiable: bool = True):
             qualname=fn.__qualname__,
             module=fn.__module__,
             differentiable=differentiable,
+            kernel=kernel,
+            fn=fn,
         )
 
         # The wrapper is the capture hook of repro.nn.graph: when a
         # tracer is installed it records the *outermost* registered op
-        # (name, arguments, output) and lets composites (sub, mean,
+        # (name, arguments, output) and lets composites (var,
         # cross_entropy, ...) execute their inner ops unrecorded, so a
-        # trace step maps 1:1 to a replay kernel.  functools.wraps
+        # trace step maps 1:1 to one kernel call.  functools.wraps
         # keeps __qualname__/__wrapped__ intact for the coverage scans
         # in repro.testing.gradcheck.
         @functools.wraps(fn)
@@ -124,6 +143,15 @@ def registered_op(name: str, differentiable: bool = True):
         return op_wrapper
 
     return decorate
+
+
+def _calls_make(fn) -> bool:
+    """Whether ``fn``'s source calls ``Tensor._make`` (a primitive op)."""
+    try:
+        source = inspect.getsource(fn)
+    except (OSError, TypeError):
+        return False
+    return "Tensor._make(" in source
 
 
 @contextlib.contextmanager
@@ -160,6 +188,133 @@ def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
     if axes:
         grad = grad.sum(axis=axes, keepdims=True)
     return grad.reshape(shape)
+
+
+# ----------------------------------------------------------------------
+# Forward kernels
+# ----------------------------------------------------------------------
+# One numpy forward kernel per primitive op.  A kernel takes the op's
+# arguments with every Tensor replaced by its ndarray, plus ``out``:
+# ``None`` allocates (the eager op), an arena buffer is written in
+# place (compiled replay, repro.nn.graph).  Python scalars reach a
+# replayed kernel as recorded; numpy's weak-scalar promotion rounds
+# them exactly as ``Tensor._operand`` does in eager.
+def _add(a, b, *, out=None):
+    return np.add(a, b, out=out)
+
+
+def _neg(a, *, out=None):
+    return np.negative(a, out=out)
+
+
+def _sub(a, b, *, out=None):
+    return np.subtract(a, b, out=out)
+
+
+def _mul(a, b, *, out=None):
+    return np.multiply(a, b, out=out)
+
+
+def _truediv(a, b, *, out=None):
+    return np.divide(a, b, out=out)
+
+
+def _pow(a, exponent, *, out=None):
+    # ``**`` rather than np.power: numpy routes some exponents to
+    # square/sqrt/reciprocal, and the in-place form takes the same route.
+    if out is None:
+        return a**exponent
+    np.copyto(out, a)
+    out **= exponent
+    return out
+
+
+def _matmul(a, b, *, out=None):
+    return np.matmul(a, b, out=out)
+
+
+def _reshape(a, *shape, out=None):
+    if len(shape) == 1 and isinstance(shape[0], (tuple, list)):
+        shape = shape[0]
+    return a.reshape(shape)
+
+
+def _transpose(a, *axes, out=None):
+    return a.transpose(*axes)
+
+
+def _astype(a, dtype, *, out=None):
+    # Identity casts never reach the kernel, so this is always a copy.
+    if out is None:
+        return a.astype(dtype)
+    out[...] = a
+    return out
+
+
+def _swapaxes(a, axis1, axis2, *, out=None):
+    return np.swapaxes(a, axis1, axis2)
+
+
+def _getitem(a, index, *, out=None):
+    return a[index]
+
+
+def _sum(a, axis=None, keepdims=False, *, out=None):
+    return np.sum(a, axis=axis, keepdims=keepdims, out=out)
+
+
+def _reduce_count(a: np.ndarray, axis) -> int:
+    if axis is None:
+        return a.size
+    axes = (axis,) if isinstance(axis, int) else tuple(axis)
+    return int(np.prod([a.shape[ax] for ax in axes]))
+
+
+def _mean(a, axis=None, keepdims=False, *, out=None):
+    # The count is divided in the sum's dtype (the weak-scalar rule).
+    total = np.asarray(a.sum(axis=axis, keepdims=keepdims))
+    count = np.asarray(_reduce_count(a, axis), dtype=total.dtype)
+    return np.divide(total, count, out=out)
+
+
+def _max(a, axis=None, keepdims=False, *, out=None):
+    return np.max(a, axis=axis, keepdims=keepdims, out=out)
+
+
+def _exp(a, *, out=None):
+    return np.exp(a, out=out)
+
+
+def _log(a, *, out=None):
+    return np.log(a, out=out)
+
+
+def _sqrt(a, *, out=None):
+    return np.sqrt(a, out=out)
+
+
+def _tanh(a, *, out=None):
+    return np.tanh(a, out=out)
+
+
+def _abs(a, *, out=None):
+    return np.abs(a, out=out)
+
+
+def _clip(a, low, high, *, out=None):
+    return np.clip(a, low, high, out=out)
+
+
+def _concatenate(tensors, axis=0, *, out=None):
+    return np.concatenate(tensors, axis=axis, out=out)
+
+
+def _stack(tensors, axis=0, *, out=None):
+    return np.stack(tensors, axis=axis, out=out)
+
+
+def _where(condition, a, b, *, out=None):
+    return np.where(condition, a, b)
 
 
 class Tensor:
@@ -409,10 +564,10 @@ class Tensor:
             return Tensor(np.asarray(other, dtype=self.data.dtype))
         return Tensor(other)
 
-    @registered_op("add")
+    @registered_op("add", kernel=_add)
     def __add__(self, other) -> "Tensor":
         other = self._operand(other)
-        out_data = self.data + other.data
+        out_data = _add(self.data, other.data)
 
         def backward(grad: np.ndarray) -> None:
             self._accumulate(grad)
@@ -422,24 +577,31 @@ class Tensor:
 
     __radd__ = __add__
 
-    @registered_op("neg")
+    @registered_op("neg", kernel=_neg)
     def __neg__(self) -> "Tensor":
         def backward(grad: np.ndarray) -> None:
             self._accumulate(-grad)
 
-        return Tensor._make(-self.data, (self,), backward)
+        return Tensor._make(_neg(self.data), (self,), backward)
 
-    @registered_op("sub")
+    @registered_op("sub", kernel=_sub)
     def __sub__(self, other) -> "Tensor":
-        return self + (-self._operand(other))
+        other = self._operand(other)
+        out_data = _sub(self.data, other.data)
+
+        def backward(grad: np.ndarray) -> None:
+            self._accumulate(grad)
+            other._accumulate(-grad)
+
+        return Tensor._make(out_data, (self, other), backward)
 
     def __rsub__(self, other) -> "Tensor":
         return self._operand(other) + (-self)
 
-    @registered_op("mul")
+    @registered_op("mul", kernel=_mul)
     def __mul__(self, other) -> "Tensor":
         other = self._operand(other)
-        out_data = self.data * other.data
+        out_data = _mul(self.data, other.data)
 
         def backward(grad: np.ndarray) -> None:
             self._accumulate(grad * other.data)
@@ -449,10 +611,10 @@ class Tensor:
 
     __rmul__ = __mul__
 
-    @registered_op("truediv")
+    @registered_op("truediv", kernel=_truediv)
     def __truediv__(self, other) -> "Tensor":
         other = self._operand(other)
-        out_data = self.data / other.data
+        out_data = _truediv(self.data, other.data)
 
         def backward(grad: np.ndarray) -> None:
             self._accumulate(grad / other.data)
@@ -463,21 +625,21 @@ class Tensor:
     def __rtruediv__(self, other) -> "Tensor":
         return self._operand(other) / self
 
-    @registered_op("pow")
+    @registered_op("pow", kernel=_pow)
     def __pow__(self, exponent: float) -> "Tensor":
         if not np.isscalar(exponent):
             raise TypeError("only scalar exponents are supported")
-        out_data = self.data**exponent
+        out_data = _pow(self.data, exponent)
 
         def backward(grad: np.ndarray) -> None:
             self._accumulate(grad * exponent * self.data ** (exponent - 1))
 
         return Tensor._make(out_data, (self,), backward)
 
-    @registered_op("matmul")
+    @registered_op("matmul", kernel=_matmul)
     def __matmul__(self, other) -> "Tensor":
         other = as_tensor(other)
-        out_data = self.data @ other.data
+        out_data = _matmul(self.data, other.data)
 
         def backward(grad: np.ndarray) -> None:
             a, b = self.data, other.data
@@ -524,35 +686,33 @@ class Tensor:
     # ------------------------------------------------------------------
     # Shape ops
     # ------------------------------------------------------------------
-    @registered_op("reshape")
+    @registered_op("reshape", kernel=_reshape)
     def reshape(self, *shape) -> "Tensor":
         """View the data under a new shape (differentiable)."""
-        if len(shape) == 1 and isinstance(shape[0], (tuple, list)):
-            shape = tuple(shape[0])
         original = self.data.shape
-        out_data = self.data.reshape(shape)
+        out_data = _reshape(self.data, *shape)
 
         def backward(grad: np.ndarray) -> None:
             self._accumulate(grad.reshape(original))
 
         return Tensor._make(out_data, (self,), backward)
 
-    @registered_op("transpose")
+    @registered_op("transpose", kernel=_transpose)
     def transpose(self, *axes) -> "Tensor":
         """Permute axes (default: reverse them); differentiable."""
+        out_data = _transpose(self.data, *axes)
         if not axes:
             axes = tuple(reversed(range(self.data.ndim)))
         elif len(axes) == 1 and isinstance(axes[0], (tuple, list)):
             axes = tuple(axes[0])
         inverse = np.argsort(axes)
-        out_data = self.data.transpose(axes)
 
         def backward(grad: np.ndarray) -> None:
             self._accumulate(grad.transpose(inverse))
 
         return Tensor._make(out_data, (self,), backward)
 
-    @registered_op("astype")
+    @registered_op("astype", kernel=_astype)
     def astype(self, dtype) -> "Tensor":
         """Cast to ``dtype`` (differentiable; grads cast back).
 
@@ -562,28 +722,28 @@ class Tensor:
         dtype = np.dtype(dtype)
         if self.data.dtype == dtype:
             return self
-        out_data = self.data.astype(dtype)
+        out_data = _astype(self.data, dtype)
 
         def backward(grad: np.ndarray) -> None:
             self._accumulate(grad)
 
         return Tensor._make(out_data, (self,), backward)
 
-    @registered_op("swapaxes")
+    @registered_op("swapaxes", kernel=_swapaxes)
     def swapaxes(self, axis1: int, axis2: int) -> "Tensor":
         """Swap two axes; differentiable."""
-        out_data = np.swapaxes(self.data, axis1, axis2)
+        out_data = _swapaxes(self.data, axis1, axis2)
 
         def backward(grad: np.ndarray) -> None:
             self._accumulate(np.swapaxes(grad, axis1, axis2))
 
         return Tensor._make(out_data, (self,), backward)
 
-    @registered_op("getitem")
+    @registered_op("getitem", kernel=_getitem)
     def __getitem__(self, index) -> "Tensor":
         if isinstance(index, Tensor):
             index = index.data.astype(np.int64)
-        out_data = self.data[index]
+        out_data = _getitem(self.data, index)
 
         def backward(grad: np.ndarray) -> None:
             full = np.zeros_like(self.data)
@@ -595,10 +755,10 @@ class Tensor:
     # ------------------------------------------------------------------
     # Reductions
     # ------------------------------------------------------------------
-    @registered_op("sum")
+    @registered_op("sum", kernel=_sum)
     def sum(self, axis=None, keepdims: bool = False) -> "Tensor":
         """Sum over ``axis`` (all axes by default); differentiable."""
-        out_data = self.data.sum(axis=axis, keepdims=keepdims)
+        out_data = _sum(self.data, axis, keepdims)
         shape = self.data.shape
 
         def backward(grad: np.ndarray) -> None:
@@ -609,15 +769,20 @@ class Tensor:
 
         return Tensor._make(out_data, (self,), backward)
 
-    @registered_op("mean")
+    @registered_op("mean", kernel=_mean)
     def mean(self, axis=None, keepdims: bool = False) -> "Tensor":
         """Arithmetic mean over ``axis``; differentiable."""
-        if axis is None:
-            count = self.data.size
-        else:
-            axes = (axis,) if isinstance(axis, int) else tuple(axis)
-            count = int(np.prod([self.data.shape[a] for a in axes]))
-        return self.sum(axis=axis, keepdims=keepdims) / count
+        out_data = _mean(self.data, axis, keepdims)
+        count = _reduce_count(self.data, axis)
+        shape = self.data.shape
+
+        def backward(grad: np.ndarray) -> None:
+            g = grad / np.asarray(count, dtype=grad.dtype)
+            if axis is not None and not keepdims:
+                g = np.expand_dims(g, axis)
+            self._accumulate(np.broadcast_to(g, shape))
+
+        return Tensor._make(out_data, (self,), backward)
 
     @registered_op("var")
     def var(self, axis=None, keepdims: bool = False) -> "Tensor":
@@ -625,10 +790,10 @@ class Tensor:
         centered = self - self.mean(axis=axis, keepdims=True)
         return (centered * centered).mean(axis=axis, keepdims=keepdims)
 
-    @registered_op("max")
+    @registered_op("max", kernel=_max)
     def max(self, axis=None, keepdims: bool = False) -> "Tensor":
         """Maximum over ``axis``; gradient splits evenly across ties."""
-        out_data = self.data.max(axis=axis, keepdims=keepdims)
+        out_data = _max(self.data, axis, keepdims)
 
         def backward(grad: np.ndarray) -> None:
             g = grad
@@ -645,60 +810,60 @@ class Tensor:
     # ------------------------------------------------------------------
     # Elementwise math
     # ------------------------------------------------------------------
-    @registered_op("exp")
+    @registered_op("exp", kernel=_exp)
     def exp(self) -> "Tensor":
         """Elementwise exponential."""
-        out_data = np.exp(self.data)
+        out_data = _exp(self.data)
 
         def backward(grad: np.ndarray) -> None:
             self._accumulate(grad * out_data)
 
         return Tensor._make(out_data, (self,), backward)
 
-    @registered_op("log")
+    @registered_op("log", kernel=_log)
     def log(self) -> "Tensor":
         """Elementwise natural logarithm."""
-        out_data = np.log(self.data)
+        out_data = _log(self.data)
 
         def backward(grad: np.ndarray) -> None:
             self._accumulate(grad / self.data)
 
         return Tensor._make(out_data, (self,), backward)
 
-    @registered_op("sqrt")
+    @registered_op("sqrt", kernel=_sqrt)
     def sqrt(self) -> "Tensor":
         """Elementwise square root."""
-        out_data = np.sqrt(self.data)
+        out_data = _sqrt(self.data)
 
         def backward(grad: np.ndarray) -> None:
             self._accumulate(grad * 0.5 / out_data)
 
         return Tensor._make(out_data, (self,), backward)
 
-    @registered_op("tanh")
+    @registered_op("tanh", kernel=_tanh)
     def tanh(self) -> "Tensor":
         """Elementwise hyperbolic tangent."""
-        out_data = np.tanh(self.data)
+        out_data = _tanh(self.data)
 
         def backward(grad: np.ndarray) -> None:
             self._accumulate(grad * (1.0 - out_data**2))
 
         return Tensor._make(out_data, (self,), backward)
 
-    @registered_op("abs")
+    @registered_op("abs", kernel=_abs)
     def abs(self) -> "Tensor":
         """Elementwise absolute value (sign subgradient)."""
-        out_data = np.abs(self.data)
+        out_data = _abs(self.data)
 
         def backward(grad: np.ndarray) -> None:
             self._accumulate(grad * np.sign(self.data))
 
         return Tensor._make(out_data, (self,), backward)
 
-    @registered_op("clip")
+    @registered_op("clip", kernel=_clip)
     def clip(self, low: float, high: float) -> "Tensor":
         """Clamp to [low, high]; gradient passes only inside the range."""
-        out_data = np.clip(self.data, low, high)
+        out_data = _clip(self.data, low, high)
 
         def backward(grad: np.ndarray) -> None:
             inside = ((self.data >= low) & (self.data <= high)).astype(self.data.dtype)
@@ -712,11 +877,11 @@ def as_tensor(value) -> Tensor:
     return value if isinstance(value, Tensor) else Tensor(value)
 
 
-@registered_op("concatenate")
+@registered_op("concatenate", kernel=_concatenate)
 def concatenate(tensors: Iterable[Tensor], axis: int = 0) -> Tensor:
     """Concatenate tensors along ``axis`` with gradient routing."""
     tensors = [as_tensor(t) for t in tensors]
-    out_data = np.concatenate([t.data for t in tensors], axis=axis)
+    out_data = _concatenate([t.data for t in tensors], axis)
     sizes = [t.data.shape[axis] for t in tensors]
     offsets = np.cumsum([0] + sizes)
 
@@ -729,11 +894,11 @@ def concatenate(tensors: Iterable[Tensor], axis: int = 0) -> Tensor:
     return Tensor._make(out_data, tensors, backward)
 
 
-@registered_op("stack")
+@registered_op("stack", kernel=_stack)
 def stack(tensors: Iterable[Tensor], axis: int = 0) -> Tensor:
     """Stack tensors along a new ``axis`` with gradient routing."""
     tensors = [as_tensor(t) for t in tensors]
-    out_data = np.stack([t.data for t in tensors], axis=axis)
+    out_data = _stack([t.data for t in tensors], axis)
 
     def backward(grad: np.ndarray) -> None:
         pieces = np.split(grad, len(tensors), axis=axis)
@@ -743,12 +908,12 @@ def stack(tensors: Iterable[Tensor], axis: int = 0) -> Tensor:
     return Tensor._make(out_data, tensors, backward)
 
 
-@registered_op("where")
+@registered_op("where", kernel=_where)
 def where(condition: np.ndarray, a: Tensor, b: Tensor) -> Tensor:
     """Elementwise select ``a`` where ``condition`` else ``b``."""
     a, b = as_tensor(a), as_tensor(b)
     condition = condition.data if isinstance(condition, Tensor) else np.asarray(condition)
-    out_data = np.where(condition, a.data, b.data)
+    out_data = _where(condition, a.data, b.data)
 
     def backward(grad: np.ndarray) -> None:
         a._accumulate(grad * condition)

@@ -502,11 +502,7 @@ def unregistered_ops() -> list[str]:
             # allowed to reference the constructor.
             if qualname.split(".")[-1].startswith("_"):
                 continue
-            try:
-                source = inspect.getsource(fn)
-            except (OSError, TypeError):
-                continue
-            if "Tensor._make(" in source:
+            if tensor_module._calls_make(fn):
                 offenders.append(qualname)
     return sorted(set(offenders))
 

@@ -2,17 +2,20 @@
 
 The compiled engine (:mod:`repro.nn.graph`) promises that replaying a
 captured graph produces the *same bits* as the eager tensor path — not
-merely close values.  This module enforces that promise op by op,
+merely close values.  Each primitive op has one numpy forward kernel
+that both paths call, and each composite replays its own eager body,
+so parity holds by construction; this module checks it op by op,
 reusing the :data:`repro.testing.gradcheck.OP_CHECKS` case table so
 every registered op is exercised through capture → compile → replay
 and compared exactly against its eager output.
 
 Coverage is closed-world, mirroring :func:`gradcheck.assert_full_coverage`:
-an op registered in ``OP_REGISTRY`` without a replay kernel (and not
-declared in :data:`repro.nn.graph.EAGER_ONLY_OPS`), or a kernel for an
-op that no longer exists, fails the sweep **by that op's name**.
-Eager-only ops are instead asserted to *refuse* capture, so a
-nondeterministic op can never silently enter a compiled graph.
+a primitive op (one whose body calls ``Tensor._make``) registered
+without a forward kernel and not declared in
+:data:`repro.nn.graph.EAGER_ONLY_OPS`, or a replayable op without a
+parity case, fails the sweep **by that op's name**.  Eager-only ops are
+instead asserted to *refuse* capture, so a nondeterministic op can
+never silently enter a compiled graph.
 """
 
 from __future__ import annotations
@@ -66,12 +69,9 @@ def replay_coverage_problems() -> list[str]:
     missing = graph.missing_replay_kernels()
     if missing:
         problems.append(
-            "registered ops with neither a replay kernel nor an "
+            "primitive ops with neither a forward kernel nor an "
             "EAGER_ONLY_OPS entry: " + ", ".join(missing)
         )
-    stale = graph.stale_replay_kernels()
-    if stale:
-        problems.append("replay kernels for unknown ops: " + ", ".join(stale))
     uncased = sorted(
         name
         for name in OP_REGISTRY

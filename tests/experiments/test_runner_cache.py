@@ -9,7 +9,6 @@ numerically identical to the store-less path for a fixed seed.
 
 from __future__ import annotations
 
-import numpy as np
 import pytest
 
 from repro.experiments import FAST, ExperimentRunner

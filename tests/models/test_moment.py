@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from repro import nn
-from repro.models import MomentModel, get_config
+from repro.models import MomentModel
 
 
 @pytest.fixture

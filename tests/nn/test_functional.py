@@ -5,7 +5,6 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro import nn
 from repro.nn import functional as F
 from repro.nn.tensor import Tensor
 

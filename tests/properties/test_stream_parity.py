@@ -11,10 +11,15 @@ Pipelines are fitted once per channel count; the property then draws
 geometries and data seeds.  Bit-identity (``np.array_equal``, not
 allclose) is the whole point: the fixed-width padded execution
 discipline makes streaming a *replay* of the offline recipe, not an
-approximation of it.
+approximation of it.  Bit-identity alone can miss a stream that runs
+at the wrong width where the host BLAS happens to round two widths
+alike, so every encoder and head call is also checked to run at
+exactly ``WIDTH`` rows.
 """
 
 from __future__ import annotations
+
+import contextlib
 
 import numpy as np
 import pytest
@@ -53,21 +58,44 @@ def _series(data_seed: int, length: int, channels: int) -> np.ndarray:
     return np.random.default_rng(data_seed).normal(size=(length, channels))
 
 
+@contextlib.contextmanager
+def _at_width(pipeline):
+    """Assert every encoder and head call inside the block sees WIDTH rows."""
+    rows = []
+
+    def spy(method):
+        def counted(x, *args, **kwargs):
+            rows.append(len(x))
+            return method(x, *args, **kwargs)
+
+        return counted
+
+    pipeline.model.encode = spy(pipeline.model.encode)
+    pipeline.head.forward = spy(pipeline.head.forward)
+    try:
+        yield
+    finally:
+        del pipeline.model.encode, pipeline.head.forward
+    assert rows and set(rows) == {WIDTH}, f"ran at widths {sorted(set(rows))}"
+
+
 def _offline_logits(pipeline, x, window, stride, compiled):
     starts = window_starts(len(x), window, stride)
     windows = window_batch(x, starts, window)
-    return pipeline.predict_logits(windows, batch_size=WIDTH, compiled=compiled)
+    with _at_width(pipeline):
+        return pipeline.predict_logits(windows, batch_size=WIDTH, compiled=compiled)
 
 
 def _stream_logits(pipeline, x, window, stride, compiled, chunk=1):
     stream = StreamingClassifier(
         pipeline, window, stride, batch_size=WIDTH, compiled=compiled
     )
-    if chunk is None:
-        stream.push(x)
-    else:
-        for lo in range(0, len(x), chunk):
-            stream.push(x[lo : lo + chunk])
+    with _at_width(pipeline):
+        if chunk is None:
+            stream.push(x)
+        else:
+            for lo in range(0, len(x), chunk):
+                stream.push(x[lo : lo + chunk])
     return np.stack([p.logits for p in stream.emitted], axis=0)
 
 
